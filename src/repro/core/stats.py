@@ -84,6 +84,12 @@ class RunStats:
     recoveries: int = 0
     #: Events replayed from peers' output journals during recovery.
     replayed: int = 0
+    #: Durable checkpoints taken (token-ring workers: the initial one
+    #: plus one per applied GVT commit and per crash recovery).
+    checkpoints: int = 0
+    #: Output-journal entries still retained when the run ended
+    #: (bounded by recent traffic when journals are pruned).
+    journal_retained: int = 0
 
     # -- multiprocess-backend counters (repro.parallel.procs) ----------
     #: Inter-process envelopes sent (batches + acks; serialization
@@ -101,6 +107,9 @@ class RunStats:
     net_bytes_tx: int = 0
     #: Bytes read from TCP sockets.
     net_bytes_rx: int = 0
+    #: Of ``net_bytes_rx``, the bytes of durable-checkpoint uploads
+    #: (worker -> coordinator ``ckpt`` payloads).
+    net_ckpt_bytes: int = 0
     #: Successful coordinator↔worker reconnections (each one exercised
     #: the custody/replay resync path).
     net_reconnects: int = 0
@@ -173,11 +182,14 @@ class RunStats:
         self.crashes += other.crashes
         self.recoveries += other.recoveries
         self.replayed += other.replayed
+        self.checkpoints += other.checkpoints
+        self.journal_retained += other.journal_retained
         self.ipc_batches += other.ipc_batches
         self.ipc_events += other.ipc_events
         self.token_waves += other.token_waves
         self.net_bytes_tx += other.net_bytes_tx
         self.net_bytes_rx += other.net_bytes_rx
+        self.net_ckpt_bytes += other.net_ckpt_bytes
         self.net_reconnects += other.net_reconnects
         self.net_rtt_samples += other.net_rtt_samples
         self.net_rtt_sum += other.net_rtt_sum
@@ -221,6 +233,7 @@ class RunStats:
         mean_ms = (1e3 * self.net_rtt_sum / self.net_rtt_samples
                    if self.net_rtt_samples else 0.0)
         return (f"tx={self.net_bytes_tx}B rx={self.net_bytes_rx}B "
+                f"(ckpt {self.net_ckpt_bytes}B) "
                 f"reconnects={self.net_reconnects} "
                 f"rtt_mean={mean_ms:.2f}ms "
                 f"rtt_max={1e3 * self.net_rtt_max:.2f}ms")

@@ -121,8 +121,22 @@ class VirtualTime(NamedTuple):
         remainder = (phase - self.lt) % PHASES_PER_CYCLE
         return VirtualTime(self.pt, self.lt + remainder)
 
+    def __reduce__(self):
+        # The inherited NamedTuple form goes through __getnewargs__ and
+        # the generic object reduce, ~18x a plain tuple; checkpoint
+        # images and wire frames hold thousands of times.
+        return (_vt, tuple(self))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.pt}fs@{self.lt}"
+
+
+_tuple_new = tuple.__new__
+
+
+def _vt(pt, lt) -> VirtualTime:
+    """Unpickling constructor of :meth:`VirtualTime.__reduce__`."""
+    return _tuple_new(VirtualTime, (pt, lt))
 
 
 #: The origin of virtual time.

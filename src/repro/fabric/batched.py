@@ -27,6 +27,11 @@ endpoint providing them:
   unacked map and the sequence counters are *durable by construction*
   (the classic log-before-send assumption): a crash wipes the
   processor, not the message log.
+* **journal pruning** — recovery only ever reads a link's journal from
+  the receiver's checkpointed ``expected`` floor (peer replay) or from
+  the sender's own checkpointed ``next_seq`` (sender window), so the
+  owner prunes below the smaller of the two (:meth:`prune`) and the
+  journal stays bounded by the traffic of a few GVT waves.
 
 The endpoint is single-owner state: each worker process owns exactly
 one, so — unlike :class:`~repro.fabric.threaded.ThreadedFabric` — no
@@ -54,6 +59,8 @@ class _OutLink:
     next_seq: int = 0
     #: Durable output journal (crash-recovery replays from it).
     journal: Dict[int, Event] = field(default_factory=dict)
+    #: Every journal seq below this has been pruned.
+    base: int = 0
     #: seq -> (event, wave last transmitted); durable, like the journal.
     unacked: Dict[int, Tuple[Event, int]] = field(default_factory=dict)
     #: EventIds whose cancellation is already journalled: a recovered
@@ -74,9 +81,12 @@ class _InLink:
 class BatchedEndpoint:
     """One worker's reliable-delivery endpoint over batched IPC."""
 
-    def __init__(self, plan: Optional[FaultPlan], index: int) -> None:
+    def __init__(self, plan: Optional[FaultPlan], index: int,
+                 journal: bool = True) -> None:
         self.plan = plan or FaultPlan()
         self.index = index
+        #: Keep the output journal?  Only crash recovery reads it.
+        self.journaling = journal
         self.stats = RunStats()
         #: Current GVT wave (the owner bumps it at each token visit);
         #: used to age unacked entries for the retransmit pump.
@@ -104,10 +114,18 @@ class BatchedEndpoint:
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
-    def encode(self, dst: int, events: Iterable[Event]) -> List[Item]:
-        """Journal + fault-inject a flush of events into batch items."""
+    def encode(self, dst: int, events: Iterable[Event],
+               withheld: Optional[List[Item]] = None) -> List[Item]:
+        """Journal + fault-inject a flush of events into batch items.
+
+        ``withheld``, when given, collects the messages this flush
+        sequenced but did not transmit (dropped, or every copy held
+        back): they exist only in the unacked map until the pump
+        re-posts them.
+        """
         link = self._out_link(dst)
         stats = self.stats
+        journal = link.journal if self.journaling else None
         items: List[Item] = []
         for event in events:
             if event.sign < 0 and event.eid in link.spent_anti:
@@ -116,17 +134,21 @@ class BatchedEndpoint:
                 continue
             seq = link.next_seq
             link.next_seq += 1
-            link.journal[seq] = event
+            if journal is not None:
+                journal[seq] = event
             link.unacked[seq] = (event, self.wave)
             stats.fabric_sent += 1
             held, link.holdback = link.holdback, []
             if link.faults.should_drop(seq):
                 stats.dropped += 1
                 items.extend(held)
+                if withheld is not None:
+                    withheld.append((seq, event))
                 continue
             copies = link.faults.copies()
             if copies > 1:
                 stats.duplicated += 1
+            sent = False
             for _ in range(copies):
                 _extra, overtake = link.faults.extra_latency()
                 if overtake:
@@ -134,6 +156,9 @@ class BatchedEndpoint:
                     link.holdback.append((seq, event))
                 else:
                     items.append((seq, event))
+                    sent = True
+            if not sent and withheld is not None:
+                withheld.append((seq, event))
             # Held copies go out *after* the current message: they have
             # been overtaken by younger traffic.
             items.extend(held)
@@ -269,6 +294,40 @@ class BatchedEndpoint:
         link = self._out_link(dst)
         return [link.journal[seq] for seq in range(base, link.next_seq)
                 if seq in link.journal]
+
+    def adopt(self, dst: int, items: Iterable[Item]) -> None:
+        """Fresh-process restore: re-journal sends of a dead incarnation.
+
+        ``items`` are sequenced messages the dead incarnation made after
+        its uploaded image.  Each is owed again (unacked) and advances
+        the link's sequence counter past it.
+        """
+        link = self._out_link(dst)
+        for seq, event in items:
+            link.journal[seq] = event
+            link.unacked[seq] = (event, self.wave)
+            if seq >= link.next_seq:
+                link.next_seq = seq + 1
+
+    def prune(self, dst: int, bound: int) -> None:
+        """Drop journal entries for ``dst`` with seq below ``bound``.
+
+        Safe once ``bound`` is at most both the receiver's durable
+        checkpoint floor (no restore of ``dst`` replays below it) and
+        this worker's own checkpointed ``next_seq`` for ``dst`` (no
+        restore of this worker reconciles a window below it).
+        """
+        link = self._out.get(dst)
+        if link is None or bound <= link.base:
+            return
+        journal = link.journal
+        for seq in range(link.base, bound):
+            journal.pop(seq, None)
+        link.base = bound
+
+    def journal_size(self) -> int:
+        """Journalled messages currently retained, over all links."""
+        return sum(len(link.journal) for link in self._out.values())
 
     def mark_spent_anti(self, dst: int, eids) -> None:
         self._out_link(dst).spent_anti |= set(eids)

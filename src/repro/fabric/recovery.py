@@ -22,9 +22,8 @@ checkpointable placement, exactly as in real PDES deployments.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Set, Tuple
 
 from ..core.stats import RunStats
@@ -71,6 +70,16 @@ class ProcessorCheckpoint:
     runtimes: Dict[int, RuntimeCheckpoint] = field(default_factory=dict)
 
 
+def _copy_stats(stats: RunStats) -> RunStats:
+    """An independent copy of ``stats``.
+
+    Every field is an immutable value except the per-LP counter dict,
+    so a field-wise copy is exact, and an order of magnitude cheaper
+    than ``deepcopy`` (a checkpoint is taken at every GVT commit).
+    """
+    return replace(stats, events_per_lp=dict(stats.events_per_lp))
+
+
 def checkpoint_processor(proc) -> ProcessorCheckpoint:
     """Capture a processor's volatile state at a consistent global point.
 
@@ -87,7 +96,7 @@ def checkpoint_processor(proc) -> ProcessorCheckpoint:
         local_fifo=list(proc.local_fifo),
         ready=list(proc.ready),
         blocked=set(proc.blocked),
-        stats=copy.deepcopy(proc.stats),
+        stats=_copy_stats(proc.stats),
     )
     for lp_id, runtime in proc.runtimes.items():
         lp = runtime.lp
@@ -145,7 +154,7 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
     proc.inbox = []
     proc.ready = list(ckpt.ready)
     proc.blocked = set(ckpt.blocked)
-    proc.stats = copy.deepcopy(ckpt.stats)
+    proc.stats = _copy_stats(ckpt.stats)
     for lp_id, image in ckpt.runtimes.items():
         runtime = proc.runtimes[lp_id]
         lp = runtime.lp

@@ -127,7 +127,9 @@ class BackendOutcome:
 
 def fresh_token(wave: int, commit: Optional[VirtualTime],
                 floor: VirtualTime = INFINITY,
-                settled: bool = False) -> dict:
+                settled: bool = False,
+                floors: Optional[dict] = None,
+                flush: Optional[VirtualTime] = None) -> dict:
     """A blank Mattern token for the next wave (see :class:`WorkerCore`)."""
     return {"wave": wave, "low": INFINITY, "sent": {}, "recv": {},
             "busy": False, "commit": commit,
@@ -140,7 +142,15 @@ def fresh_token(wave: int, commit: Optional[VirtualTime],
             # earlier; "vt_min"/"vt_max" accumulate the per-LP clock
             # surface for the Korniss roughness signal.
             "anti_low": INFINITY, "floor": floor, "settled": settled,
-            "vt_min": None, "vt_max": None}
+            "vt_min": None, "vt_max": None,
+            # Journal pruning: worker -> its durable receive floors
+            # ({src: expected}), carried over from wave to wave.
+            "floors": {} if floors is None else floors,
+            # Stall breaker: "moved" records whether any worker executed
+            # or received anything since its previous visit; "flush"
+            # tells workers the ring is stalled at that GVT (see
+            # WorkerCore._initiate).
+            "moved": False, "flush": flush}
 
 
 class WorkerCore:
@@ -210,7 +220,12 @@ class WorkerCore:
         self._last_token_out: Optional[dict] = None
         self._stop_info: Optional[tuple] = None
         self._ckpt = None
+        self._ckpt_due = False
         self._ckpt_marks: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+        # Receive floors of the checkpoint current at the previous
+        # token visit: by this visit the coordinator provably holds it
+        # (see _prune_journals).
+        self._durable_floors: Dict[int, int] = {}
         # Cancellation-horizon bookkeeping (see docs/protocol.md):
         # antimessages this worker routed, bucketed by the token wave
         # period they were sent in; buckets are pruned once the ring's
@@ -228,7 +243,8 @@ class WorkerCore:
         self._revalidate = 0
         self._max_stale_resent = -1
         self.endpoint: Optional[BatchedEndpoint] = (
-            BatchedEndpoint(self.plan, index) if self.use_fabric else None)
+            BatchedEndpoint(self.plan, index, journal=self.recovery)
+            if self.use_fabric else None)
         if index == 0:
             # Initiator state: a sentinel "completed wave -1" primes the
             # ring (busy, nothing sent, nothing committable).
@@ -239,6 +255,7 @@ class WorkerCore:
             self._gvt_committed: VirtualTime = MINUS_INFINITY
             self._commits = 0
             self._last_completed_wave = -1
+            self._stalled_waves = 0
 
     def _run_worker(self, index: int, proc: Processor,
                     runtimes: Dict[int, LPRuntime],
@@ -379,6 +396,11 @@ class WorkerCore:
                 token, self._held_token = self._held_token, None
                 self._visit(token)
                 self._forward(token)
+            if self._ckpt_due:
+                # Off the ring's critical path: the token is already on
+                # its way to the next worker, and the visit's final
+                # flush left the outbox empty.
+                self._take_checkpoint()
             if self._stop_info is not None:
                 return
             if not progressed and self._held_token is None \
@@ -409,8 +431,12 @@ class WorkerCore:
         self._sent_to[target] = count
         self._send_envelope(target, ("c", self._index, count, envelope))
 
-    def _post_batch(self, target: int, items: list) -> None:
-        self._post(target, ("batch", self._index, items))
+    def _post_batch(self, target: int, items: list,
+                    withheld: Optional[list] = None) -> None:
+        if withheld:
+            self._post(target, ("batch", self._index, items, withheld))
+        else:
+            self._post(target, ("batch", self._index, items))
         self._net.ipc_batches += 1
         self._net.ipc_events += len(items)
         wrapped = self.endpoint is not None
@@ -427,13 +453,21 @@ class WorkerCore:
             if not events:
                 continue
             self._outbox[target] = []
+            withheld = None
             if endpoint is not None:
-                items = endpoint.encode(target, events)
-                if not items:
-                    continue  # every copy dropped or held back
+                # Messages sequenced but not transmitted (fault-plan
+                # drops, held-back copies) ride along; receivers ignore
+                # them.  The dist coordinator's sent-tail must hold every
+                # sequence number a worker mints after its last upload,
+                # or a restored incarnation leaves its peers waiting
+                # forever on a gap it knows nothing about.
+                withheld = []
+                items = endpoint.encode(target, events, withheld)
+                if not items and not withheld:
+                    continue
             else:
                 items = events
-            self._post_batch(target, items)
+            self._post_batch(target, items, withheld)
             sent_any = True
         return sent_any
 
@@ -578,6 +612,9 @@ class WorkerCore:
             # — so bucket b is provably delivered once b+1 <= wave-2.
             self._prune_anti_buckets(wave - 3)
             self._apply_commit(commit)
+        flush = token.get("flush")
+        if flush is not None and self._proc.flush_lazy_stalled(flush):
+            self._proc.drain_local()
         if token.get("settled"):
             # The previous wave's channel counts matched exactly:
             # everything sent before cut wave-1 was received, which
@@ -617,14 +654,41 @@ class WorkerCore:
             token["recv"][(src, index)] = n
         if not token["busy"] and self._busy():
             token["busy"] = True
+        if self._progressed:
+            token["moved"] = True
         self._progressed = False
         if self.endpoint is not None:
             self.endpoint.wave = token["wave"]
+            if self.recovery:
+                self._prune_journals(token)
             for dst, items in self.endpoint.pump(token["wave"]).items():
                 self._post_batch(dst, items)
         # Commit application may have produced antimessages (lazy flush)
         # or released blocked LPs whose sends are already queued.
         self._flush()
+
+    def _prune_journals(self, token: dict) -> None:
+        """Publish this worker's durable receive floors on the token and
+        drop journal entries no recovery can read any more.
+
+        A restore of receiver ``dst`` replays from its checkpointed
+        floor, and a restore of this worker reconciles its sends from
+        its own checkpointed ``next_seq``; checkpoints are not taken
+        simultaneously, so the entry must be below both.  "Durable"
+        lags one visit: the checkpoint taken after visit w-1 is
+        uploaded before that worker's token of wave w leaves, so by its
+        visit of wave w+1 a dist coordinator holds it (in-process
+        checkpoints are durable when taken).
+        """
+        floors = token.setdefault("floors", {})
+        floors[self._index] = self._durable_floors
+        self._durable_floors = self._ckpt_marks[1]
+        endpoint = self.endpoint
+        own = self._ckpt_marks[0]
+        for dst, theirs in floors.items():
+            if dst != self._index:
+                endpoint.prune(dst, min(theirs.get(self._index, 0),
+                                        own.get(dst, 0)))
 
     def _forward(self, token: dict) -> None:
         self._last_token_out = token
@@ -643,8 +707,9 @@ class WorkerCore:
         proc.drain_local()
         proc.fossil_collect(gvt)
         proc.rearm_blocked()
-        if self.recovery:
-            self._take_checkpoint()
+        # One durable checkpoint per applied commit, taken by the loop
+        # once the token has left (see _worker_loop).
+        self._ckpt_due = self.recovery
 
     def _refresh_cancel_floor(self) -> None:
         """Raise (or lower) the horizon to the freshest sound value:
@@ -668,6 +733,7 @@ class WorkerCore:
         commit: Optional[VirtualTime] = None
         floor: VirtualTime = INFINITY
         settled = False
+        flush: Optional[VirtualTime] = None
         if wave >= 0:
             self._net.token_waves += 1
             sent, recv = token["sent"], token["recv"]
@@ -702,6 +768,20 @@ class WorkerCore:
             if not token["busy"] and commit is None and valid and settled:
                 self._broadcast_stop()
                 return
+            # A busy ring that moved nothing for two settled waves with
+            # GVT frozen is stalled: some worker holds work it can never
+            # do.  After crash recovery that is a withheld cancellation
+            # pinning GVT at its own send time, on an LP with nothing
+            # left to execute; the next token flushes such entries
+            # inclusively (the modelled machine's deadlock breaker).
+            if (commit is None and valid and settled
+                    and not token.get("moved", True)):
+                self._stalled_waves += 1
+            else:
+                self._stalled_waves = 0
+            if self._stalled_waves >= 2:
+                self._stalled_waves = 0
+                flush = self._gvt_committed
             self._prev_sent = dict(sent)
             # The completed wave's cancellation horizon rides the next
             # token regardless of commit validity (see _visit for why
@@ -716,7 +796,8 @@ class WorkerCore:
                 if width > self._net.vt_spread_width_max:
                     self._net.vt_spread_width_max = width
         fresh = fresh_token(wave + 1, commit, floor=floor,
-                            settled=settled)
+                            settled=settled, floors=token.get("floors"),
+                            flush=flush)
         self._visit(fresh)
         if self._stop_info is not None:  # pragma: no cover - defensive
             return
@@ -744,6 +825,8 @@ class WorkerCore:
     def _take_checkpoint(self) -> None:
         """Durable-by-fiat checkpoint (log-before-send model): the
         processor image plus the fabric's sequence horizons."""
+        self._ckpt_due = False
+        self._net.checkpoints += 1
         self._ckpt = checkpoint_processor(self._proc)
         self._ckpt_marks = (self.endpoint.checkpoint_marks()
                             if self.endpoint is not None else ({}, {}))
@@ -784,6 +867,7 @@ class WorkerCore:
         :meth:`_crash`-style reconciliation."""
         self._ckpt = image["ckpt"]
         self._ckpt_marks = image["marks"]
+        self._durable_floors = image["marks"][1]
         self.endpoint = image["endpoint"]
         self._gvt = image["gvt"]
         self._cut_wave = image["cut_wave"]
@@ -925,7 +1009,9 @@ class WorkerCore:
         lets :meth:`_crash` reconcile them (cancel-or-reuse) exactly
         like any other post-checkpoint output; their count stamps
         restore ``_sent_to`` to the world-visible values so the ring's
-        channel counts stay monotone on the sender side.
+        channel counts stay monotone on the sender side.  A batch's
+        withheld messages (see :meth:`_flush`) are spliced in too: the
+        peer is waiting for their sequence numbers.
 
         ``recv_marks`` is the receive-side mirror: per-source counted-
         envelope high-water marks the coordinator observed while
@@ -951,12 +1037,10 @@ class WorkerCore:
             if count > self._sent_to.get(dst, 0):
                 self._sent_to[dst] = count
             if inner[0] == "batch" and endpoint is not None:
-                link = endpoint._out_link(dst)
-                for seq, event in inner[2]:
-                    link.journal[seq] = event
-                    link.unacked[seq] = (event, endpoint.wave)
-                    if seq >= link.next_seq:
-                        link.next_seq = seq + 1
+                # Transmitted copies, then the ones the flush sequenced
+                # but withheld.
+                for part in inner[2:]:
+                    endpoint.adopt(dst, part)
         self._crash()
 
     def _on_recover(self, victim: int, epochs: Dict[int, int],
@@ -982,6 +1066,7 @@ class WorkerCore:
         stats.merge(proc.stats)
         if self.endpoint is not None:
             stats.merge(self.endpoint.stats)
+            stats.journal_retained += self.endpoint.journal_size()
         stats.merge(self._net)
         lp_states = {
             lp_id: (runtime.lp.now,

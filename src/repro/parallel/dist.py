@@ -39,9 +39,10 @@ coordinator-side state close the remaining holes:
   copy, which is the one the link may have lost — see
   ``WorkerCore._resend_token``).
 * **Checkpoint uploads** — workers upload their durable image
-  (processor checkpoint + fabric endpoint + ring bookkeeping) at every
-  checkpoint.  A killed worker process is restored onto a *fresh*
-  daemon from the last uploaded image.
+  (processor checkpoint + fabric endpoint with its pruned journal +
+  ring bookkeeping) at every checkpoint, right behind the token frame
+  of the visit that applied the commit.  A killed worker process is
+  restored onto a *fresh* daemon from the last uploaded image.
 * **The sent-tail** — the coordinator retains every counted frame it
   relayed *from* a worker since that worker's last checkpoint upload
   (per-connection FIFO makes the cut exact).  On restore the tail is
@@ -49,7 +50,9 @@ coordinator-side state close the remaining holes:
   (``WorkerCore._restore_incarnation``), so the dead incarnation's
   post-checkpoint sends — which the world has seen — are reconciled
   through the standard lazy-cancellation crash path instead of
-  becoming phantom positives.
+  becoming phantom positives.  Batches also carry the messages their
+  flush sequenced but withheld (``WorkerCore._flush``), so the tail
+  knows every sequence number the dead incarnation minted.
 
 **Security.**  Frames are pickles (the coordinator ships real models
 with process-body callables).  Trusted networks only — localhost, a
@@ -515,13 +518,21 @@ class DistMachine:
         self._links = [_WorkerLink(i) for i in range(self.processors)]
         self._tasks: List[asyncio.Task] = []
         try:
+            spawns = []
             for link in self._links:
                 if link.index < len(self.hosts):
                     host, _sep, port = self.hosts[link.index].partition(":")
                     link.host = host or "127.0.0.1"
                     link.port = int(port) if port else DEFAULT_PORT
                 else:
-                    await self._spawn_local(link)
+                    spawns.append(self._spawn_local(link))
+            # Daemon start-up (interpreter + imports) dominates a short
+            # run: start every local daemon at once, then connect.
+            for outcome in await asyncio.gather(*spawns,
+                                                return_exceptions=True):
+                if isinstance(outcome, BaseException):
+                    raise outcome
+            for link in self._links:
                 await self._connect(link, fresh=True)
             self._tasks.append(
                 asyncio.get_running_loop().create_task(self._pinger()))
@@ -820,6 +831,7 @@ class DistMachine:
         elif kind == "ckpt":
             link.ckpt = frame[2]
             link.tail.clear()
+            self._net.net_ckpt_bytes += len(frame[2])
         elif kind == "pong":
             rtt = time.monotonic() - frame[1]
             self._net.net_rtt_samples += 1

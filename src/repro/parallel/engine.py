@@ -873,6 +873,41 @@ class Processor:
                 keep.append(pending)
         runtime.lazy_pending = keep
 
+    def flush_lazy_stalled(self, gvt: VirtualTime) -> bool:
+        """Stall breaker: cancel withheld messages up to and including GVT.
+
+        Only sound when the whole machine is stalled at ``gvt``: no event
+        at or below it can ever be generated again, so the inclusive
+        bound is what makes progress when a withheld message's own
+        timestamp *is* the GVT.  Returns True if anything was cancelled.
+        """
+        flushed = False
+        for runtime in self.runtimes.values():
+            if not runtime.lazy_pending:
+                continue
+            keep: List[Event] = []
+            for pending in runtime.lazy_pending:
+                # Either bound suffices at a full stall.  A message whose
+                # *receive* time pins GVT must be released even though
+                # its sender might re-emit an identical copy at exactly
+                # GVT later: cancel-plus-resend is observably equivalent
+                # to reuse, so correctness is unaffected — only the reuse
+                # optimization is lost for that one message.
+                if pending.send_time <= gvt or pending.time <= gvt:
+                    self.stats.antimessages += 1
+                    if self.tracer is not None:
+                        self.tracer.record(
+                            "anti", self.index, runtime.lp.lp_id,
+                            pending.time, dst=pending.dst,
+                            eid=(pending.eid.src, pending.eid.seq),
+                            ctx="gvt-flush")
+                    self.route(pending.antimessage())
+                    flushed = True
+                else:
+                    keep.append(pending)
+            runtime.lazy_pending = keep
+        return flushed
+
     # ------------------------------------------------------------------
     # Null messages (conservative with lookahead)
     # ------------------------------------------------------------------

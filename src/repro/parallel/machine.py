@@ -646,38 +646,12 @@ class ParallelMachine:
     def _flush_lazy_at_gvt(self) -> bool:
         """Cancel withheld lazy messages up to and including GVT.
 
-        Only called when the machine is fully stalled (see run()); the
-        inclusive bound is what makes progress when a withheld message's
-        own timestamp IS the GVT.
+        Only called when the machine is fully stalled (see run() and
+        :meth:`Processor.flush_lazy_stalled`).
         """
         flushed = False
         for proc in self.procs:
-            for runtime in proc.runtimes.values():
-                if not runtime.lazy_pending:
-                    continue
-                keep = []
-                for pending in runtime.lazy_pending:
-                    # Either bound suffices at a full stall.  A message
-                    # whose *receive* time pins GVT must be released
-                    # even though its sender might re-emit an identical
-                    # copy at exactly GVT later: cancel-plus-resend is
-                    # observably equivalent to reuse, so correctness is
-                    # unaffected — only the reuse optimization is lost
-                    # for that one message.
-                    if pending.send_time <= self.gvt \
-                            or pending.time <= self.gvt:
-                        proc.stats.antimessages += 1
-                        if self.tracer is not None:
-                            self.tracer.record(
-                                "anti", proc.index, runtime.lp.lp_id,
-                                pending.time, dst=pending.dst,
-                                eid=(pending.eid.src, pending.eid.seq),
-                                ctx="gvt-flush")
-                        proc.route(pending.antimessage())
-                        flushed = True
-                    else:
-                        keep.append(pending)
-                runtime.lazy_pending = keep
+            flushed |= proc.flush_lazy_stalled(self.gvt)
             proc.drain_local()
         return flushed
 

@@ -220,6 +220,80 @@ class TestCrashRecovery:
         assert [e.sign for _seq, e in items] == [1, -1]
 
 
+class TestJournalPruning:
+    def test_prune_drops_only_below_bound(self):
+        sender = clean_endpoint(0)
+        sender.encode(1, [ev(i) for i in range(6)])
+        sender.prune(1, 4)
+        link = sender._out_link(1)
+        assert sorted(link.journal) == [4, 5]
+        assert sender.journal_size() == 2
+        # Pruning never touches the unacked map or the sequence counter.
+        assert sorted(link.unacked) == list(range(6))
+        assert link.next_seq == 6
+
+    def test_prune_is_monotone(self):
+        sender = clean_endpoint(0)
+        sender.encode(1, [ev(i) for i in range(6)])
+        sender.prune(1, 4)
+        sender.prune(1, 2)  # an older bound is a no-op
+        assert sorted(sender._out_link(1).journal) == [4, 5]
+        sender.prune(7, 3)  # an unknown link is a no-op
+        assert 7 not in sender._out
+
+    def test_recovery_reads_survive_the_bound(self):
+        # The worker core prunes below min(receiver floor, own
+        # checkpointed next_seq): both recovery reads start at or above.
+        sender = clean_endpoint(0)
+        sender.encode(1, [ev(i) for i in range(4)])
+        own_mark = sender.checkpoint_marks()[0][1]       # 4
+        sender.encode(1, [ev(i) for i in range(4, 8)])
+        receiver_floor = 6
+        sender.prune(1, min(receiver_floor, own_mark))
+        assert sender.sender_window(1, own_mark) == \
+            [ev(i) for i in range(4, 8)]
+        assert [seq for seq, _ in sender.replay_for(1, receiver_floor)] \
+            == [6, 7]
+
+    def test_no_journal_without_recovery(self):
+        sender = BatchedEndpoint(FaultPlan(), 0, journal=False)
+        sender.encode(1, [ev(0), ev(1)])
+        link = sender._out_link(1)
+        assert link.journal == {}
+        assert sorted(link.unacked) == [0, 1]
+
+
+class TestWithheld:
+    def test_dropped_and_held_copies_are_reported(self):
+        plan = FaultPlan(drop=1.0, max_drops_per_message=2, seed=1)
+        withheld = []
+        assert BatchedEndpoint(plan, 0).encode(1, [ev(0)], withheld) == []
+        assert withheld == [(0, ev(0))]
+        withheld = []
+        sender = BatchedEndpoint(FaultPlan(reorder=1.0, seed=1), 0)
+        assert sender.encode(1, [ev(0)], withheld) == []
+        assert withheld == [(0, ev(0))]
+
+    def test_transmitted_copies_are_not_reported(self):
+        withheld = []
+        items = clean_endpoint(0).encode(1, [ev(0), ev(1)], withheld)
+        assert len(items) == 2 and withheld == []
+
+    def test_adopt_rejournals_and_closes_the_gap(self):
+        # A restored incarnation adopts its dead predecessor's sends:
+        # transmitted seq 1 and withheld seq 0 alike, so the peer's
+        # reorder buffer is never left waiting on a seq nobody owns.
+        sender = clean_endpoint(0)
+        sender.adopt(1, [(1, ev(1))])
+        sender.adopt(1, [(0, ev(0))])
+        link = sender._out_link(1)
+        assert link.next_seq == 2
+        assert sorted(link.unacked) == [0, 1]
+        posts = sender.pump(sender.wave + 1)
+        receiver = clean_endpoint(1)
+        assert receiver.decode(0, posts[1]) == [ev(0), ev(1)]
+
+
 class TestFaultInjection:
     def test_drop_keeps_journal_and_unacked(self):
         plan = FaultPlan(drop=1.0, max_drops_per_message=2, seed=1)

@@ -16,15 +16,19 @@ and victim matrices are marked ``slow``.
 """
 
 import os
+import pickle
 
 import pytest
 
 from repro.circuits import (build_fsm, build_iir_from_vhdl,
                             build_random)
+from repro.core.event import Event, EventId, EventKind
+from repro.core.vtime import VirtualTime
 from repro.fabric import wire
-from repro.fabric.plan import FaultPlan
+from repro.fabric.plan import FaultPlan, LinkFaults
 from repro.fabric.wire import (HEADER_SIZE, WireError, decode_frame,
                                decode_header, encode_frame)
+from repro.parallel.backend import WorkerCore, fresh_token
 from repro.parallel.dist import DistMachine, run_dist
 from repro.parallel.engine import ProtocolError
 from repro.vhdl import simulate
@@ -150,6 +154,112 @@ class TestValidation:
     def test_rejects_nonpositive_timeout(self, model):
         with pytest.raises(ValueError, match="timeout_s"):
             DistMachine(model, 2).run(timeout_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Kill-recovery machinery of the worker core (no network).
+# ---------------------------------------------------------------------------
+class _Recorder(WorkerCore):
+    """A worker core whose transport records envelopes."""
+
+    backend_name = "test"
+    processors = 2
+    recovery = True
+    use_fabric = True
+    watchdog_bound = 0.0
+    _crash_schedule = []
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.sent = []
+        self._setup_worker(0, proc=None, runtimes={}, placement={})
+
+    def _send_envelope(self, target, envelope):
+        self.sent.append((target, envelope))
+
+    def _crash(self):  # reconciliation needs a processor; not tested here
+        pass
+
+
+def _event(seq):
+    return Event(time=VirtualTime(seq, 0), kind=EventKind.USER, dst=1,
+                 src=0, payload=seq, eid=EventId(0, seq))
+
+
+class TestWithheldSends:
+    """A dropped or held-back copy never reaches the wire, so the
+    coordinator's sent-tail used to miss it: a worker killed before
+    its next pump came back with a sequence gap its peer's reorder
+    buffer waited on forever (the kill-recovery stall)."""
+
+    def test_batch_carries_withheld_and_restore_closes_the_gap(self):
+        dead = _Recorder(FaultPlan(drop=1.0, seed=1))
+        # What the coordinator holds: the upload, frozen at send time.
+        image = pickle.loads(pickle.dumps(dead._durable_image()))
+        dead._outbox[1] = [_event(0)]
+        dead._flush()
+        # The link heals: seq 1 reaches the wire (and the tail).
+        dead.endpoint._out_link(1).faults = LinkFaults(FaultPlan(), (0, 1))
+        dead._outbox[1] = [_event(1)]
+        dead._flush()
+        tail = dead.sent
+        (_, first), (_, second) = tail
+        assert first[3] == ("batch", 0, [], [(0, _event(0))])
+        assert second[3] == ("batch", 0, [(1, _event(1))])
+        reborn = _Recorder(FaultPlan())
+        reborn._restore_incarnation(image, list(tail), {})
+        link = reborn.endpoint._out_link(1)
+        assert sorted(link.journal) == [0, 1]
+        assert sorted(link.unacked) == [0, 1]
+        assert link.next_seq == 2
+        assert reborn._sent_to == {1: 2}
+
+
+class TestRingStallBreaker:
+    """After a kill, a restored LP can hold a withheld cancellation whose
+    send time is the GVT and have nothing left to execute: the entry
+    pins GVT and nothing ever passes it.  The initiator detects the
+    frozen ring and asks every worker to flush inclusively."""
+
+    @staticmethod
+    def completed(wave, moved=False, busy=True):
+        token = fresh_token(wave, None)
+        token.update(low=VirtualTime(35, 27), busy=busy, moved=moved,
+                     anti_low=VirtualTime(35, 27))
+        return token
+
+    def initiate(self, core, token):
+        core._completed_token = token
+        core.sent.clear()
+        core._initiate()
+        (_, (_tag, fresh)), = core.sent
+        return fresh
+
+    def core(self):
+        core = _Recorder(FaultPlan())
+        core._visit = lambda token: None
+        core._gvt_committed = VirtualTime(35, 27)
+        return core
+
+    def test_two_frozen_waves_request_a_flush(self):
+        core = self.core()
+        assert self.initiate(core, self.completed(5))["flush"] is None
+        assert self.initiate(core, self.completed(6))["flush"] == \
+            VirtualTime(35, 27)
+        # One request per detection: the count starts over.
+        assert self.initiate(core, self.completed(7))["flush"] is None
+
+    def test_movement_resets_the_count(self):
+        core = self.core()
+        self.initiate(core, self.completed(5))
+        self.initiate(core, self.completed(6, moved=True))
+        assert self.initiate(core, self.completed(7))["flush"] is None
+
+    def test_idle_ring_terminates_instead(self):
+        core = self.core()
+        core._completed_token = self.completed(5, busy=False)
+        core._initiate()
+        assert core._stop_info is not None
 
 
 # ---------------------------------------------------------------------------

@@ -175,3 +175,17 @@ class TestLazyHelpers:
         assert len(sent) == 1
         assert sent[0].sign == -1
         assert sent[0].eid == early.eid
+
+    def test_stalled_flush_is_inclusive(self):
+        # The regular flush is strict, so an entry sent *at* GVT would
+        # pin it forever; the stall breaker also releases it.
+        proc, rt, sent = self.make_proc()
+        at_gvt = ev(5, 20, seq=1, send=VirtualTime(20, 0))
+        later = ev(5, 30, seq=2, send=VirtualTime(30, 0))
+        rt.lazy_pending = [at_gvt, later]
+        proc.flush_lazy(rt, VirtualTime(20, 0))
+        assert rt.lazy_pending == [at_gvt, later] and sent == []
+        assert proc.flush_lazy_stalled(VirtualTime(20, 0))
+        assert rt.lazy_pending == [later]
+        assert [(e.sign, e.eid) for e in sent] == [(-1, at_gvt.eid)]
+        assert not proc.flush_lazy_stalled(VirtualTime(20, 0))

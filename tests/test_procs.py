@@ -120,6 +120,25 @@ def test_procs_worker_crash_recovery():
 
 
 @needs_fork
+def test_procs_journals_stay_bounded():
+    """Output journals are pruned below the receivers' durable floors:
+    what is left at the end does not grow with the run's length (an
+    unpruned journal retains every message ever sent)."""
+    retained = {}
+    for cycles in (4, 16):
+        outcome = assert_matches_sequential(
+            lambda: build_fsm(cells=8, cycles=cycles), "conservative",
+            processors=2, fault_plan=FaultPlan(), recovery=True)
+        stats = outcome.stats
+        assert stats.journal_retained < stats.fabric_sent
+        retained[cycles] = stats.journal_retained
+        # Cadence: each worker's initial checkpoint plus one per
+        # applied GVT commit.
+        assert stats.checkpoints == 2 + stats.gvt_rounds
+    assert retained[16] <= retained[4]
+
+
+@needs_fork
 def test_procs_rejects_dynamic():
     model = build_random(1).design.elaborate()
     with pytest.raises(ValueError):
