@@ -126,16 +126,6 @@ class Netlist:
         self.gate("xor", [a, b], y)
         return y
 
-    def nand_(self, a: Wire, b: Wire, y: Optional[Wire] = None) -> Wire:
-        y = y or self.wire()
-        self.gate("nand", [a, b], y)
-        return y
-
-    def nor_(self, a: Wire, b: Wire, y: Optional[Wire] = None) -> Wire:
-        y = y or self.wire()
-        self.gate("nor", [a, b], y)
-        return y
-
     def xnor_(self, a: Wire, b: Wire, y: Optional[Wire] = None) -> Wire:
         y = y or self.wire()
         self.gate("xnor", [a, b], y)

@@ -127,8 +127,13 @@ class Event:
 
     def stamped(self, epoch: int) -> "Event":
         """A copy carrying a conservative-promise epoch tag."""
-        import dataclasses
-        return dataclasses.replace(self, epoch=epoch)
+        # The constructor, not dataclasses.replace (every stamped send
+        # pays this) nor a __dict__ copy: touching __dict__ gives the
+        # instance a real dict, larger and slower to read than the
+        # inline attribute values the constructor leaves.
+        return Event(self.time, self.kind, self.dst, self.src,
+                     self.payload, self.sign, self.eid, self.send_time,
+                     epoch)
 
     def matches(self, other: "Event") -> bool:
         """True if self and other are a +/- pair for the same message."""

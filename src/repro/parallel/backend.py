@@ -702,8 +702,7 @@ class WorkerCore:
         proc = self._proc
         proc.gvt_bound = gvt
         proc.stats.gvt_rounds += 1
-        for runtime in proc.runtimes.values():
-            proc.flush_lazy(runtime, gvt)
+        proc.flush_lazy_all(gvt)
         proc.drain_local()
         proc.fossil_collect(gvt)
         proc.rearm_blocked()

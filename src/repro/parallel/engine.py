@@ -147,7 +147,8 @@ class LPRuntime:
         self.last_null_promise: Dict[int, VirtualTime] = {}
         self.committed = 0
         #: Distance-based lower bound on future arrivals, refreshed by the
-        #: machine's global rounds (see ParallelMachine._release_bounds).
+        #: machine's global rounds (see
+        #: ParallelMachine._refresh_release_floors).
         self.release_floor: VirtualTime = MINUS_INFINITY
         #: Executions since the last state snapshot (interval
         #: checkpointing; see Processor.checkpoint_interval).
@@ -873,6 +874,14 @@ class Processor:
                 keep.append(pending)
         runtime.lazy_pending = keep
 
+    def flush_lazy_all(self, bound: VirtualTime) -> None:
+        """GVT flush (:meth:`flush_lazy`) of every runtime that holds
+        withheld or guaranteed-reuse entries; idle runtimes are skipped.
+        """
+        for runtime in self.runtimes.values():
+            if runtime.lazy_pending or runtime.reuse_pending:
+                self.flush_lazy(runtime, bound)
+
     def flush_lazy_stalled(self, gvt: VirtualTime) -> bool:
         """Stall breaker: cancel withheld messages up to and including GVT.
 
@@ -1038,12 +1047,14 @@ class Processor:
         """min timestamp over queued events and parked negatives."""
         low = INFINITY
         for runtime in self.runtimes.values():
-            t = runtime.queue_min_time()
-            if t < low:
-                low = t
-            for negative in runtime.negatives.values():
-                if negative.time < low:
-                    low = negative.time
+            if runtime.queue:
+                t = runtime.queue_min_time()
+                if t < low:
+                    low = t
+            if runtime.negatives:
+                for negative in runtime.negatives.values():
+                    if negative.time < low:
+                        low = negative.time
             # A withheld (lazy) cancellation may still become an
             # antimessage at its own timestamp: GVT must not pass it.
             for pending in runtime.lazy_pending:
@@ -1064,6 +1075,8 @@ class Processor:
         self.clock += self.cost.fossil
         for runtime in self.runtimes.values():
             entries = runtime.processed
+            if not entries:
+                continue
             cut = 0
             while cut < len(entries) and entries[cut].event.time < gvt:
                 cut += 1

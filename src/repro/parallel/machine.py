@@ -27,8 +27,9 @@ Global services implemented here:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.event import Event
 from ..core.model import Model, SyncMode
@@ -104,6 +105,13 @@ class ParallelMachine:
         ]
         self.gvt = MINUS_INFINITY
         self._runtimes: Dict[int, LPRuntime] = {}
+        #: Release-floor sweep inputs, built on the first GVT round: the
+        #: model's successor set and ``react_lookahead_phases`` of each
+        #: LP (indexed by id) and the ``(lp_id, runtime)`` pairs of
+        #: every processor.
+        self._floor_succ: Optional[List[Set[int]]] = None
+        self._floor_la: List[int] = []
+        self._floor_lps: List[Tuple[int, LPRuntime]] = []
         #: Conformance hooks (repro.harness): both default to None and
         #: are propagated to every processor, LP and the fabric.
         self.tracer = tracer
@@ -134,6 +142,9 @@ class ParallelMachine:
         # parallelism).
         self.blocked_gvt_min_interval = max(24, 3 * processors)
         self._since_gvt = 0
+        #: Running sum of every processor's ``stats.blocked_polls``
+        #: (polls only happen inside ``act()``; see run() and kill()).
+        self._blocked_polls = 0
         self._blocked_at_gvt = 0
         self._peak_speculative = 0
         # Liveness: step-count watchdog (wall clock is meaningless on the
@@ -302,8 +313,7 @@ class ParallelMachine:
         for proc in self.procs:
             proc.gvt_bound = self.gvt
             proc.stats.gvt_rounds += 1
-            for runtime in proc.runtimes.values():
-                proc.flush_lazy(runtime, self.gvt)
+            proc.flush_lazy_all(self.gvt)
             proc.drain_local()
             proc.fossil_collect(self.gvt)
             proc.rearm_blocked()
@@ -317,14 +327,11 @@ class ParallelMachine:
             proc.rearm_blocked()
         self._sample_spread()
         self._since_gvt = 0
-        self._blocked_at_gvt = self._blocked_polls()
+        self._blocked_at_gvt = self._blocked_polls
         if self._watchdog.tick(self._progress_marker(), self._work):
             self._stall("no GVT advance or commit in "
                         f"{self._watchdog.idle} steps "
                         f"(bound {self.watchdog_bound})")
-
-    def _blocked_polls(self) -> int:
-        return sum(proc.stats.blocked_polls for proc in self.procs)
 
     # ------------------------------------------------------------------
     # Liveness (repro.resilience)
@@ -439,14 +446,25 @@ class ParallelMachine:
             B_j = min(m_j, min over predecessors k of B_k + react_la(j))
 
         where ``m_j`` is the minimum timestamp queued at / in flight to
-        ``j``.  This is a multi-source shortest-path problem solved with
-        one Dijkstra sweep; the bounds remain valid until refreshed
-        (consuming events only raises them).  For LP classes with zero
-        declared lookahead the sweep degenerates to reachability, which
-        is still sound and still better than plain GVT.
+        ``j``.  This is a multi-source shortest-path problem.  Edge
+        weights only ever add logical phases, so a bound keeps its
+        source's physical time: the sweep takes the sources grouped by
+        ``pt`` in ascending order and, within a group, settles LPs in
+        integer ``lt`` buckets (Dial's algorithm; a zero-lookahead
+        successor joins the bucket being settled).  Settle order never
+        decreases, so ``A_i`` is the ``B`` of the first settled
+        predecessor.  The bounds remain valid until refreshed (consuming
+        events only raises them).  For LP classes with zero declared
+        lookahead the sweep degenerates to reachability, which is still
+        sound and still better than plain GVT.
         """
-        import heapq as _heapq
-
+        if self._floor_succ is None:
+            lps = self.model.lps
+            self._floor_succ = [self.model.successors(lp.lp_id)
+                                for lp in lps]
+            self._floor_la = [lp.react_lookahead_phases for lp in lps]
+            self._floor_lps = [item for proc in self.procs
+                               for item in proc.runtimes.items()]
         potentials: Dict[int, VirtualTime] = {}
         #: Undelivered messages are *future arrivals* at their target and
         #: must cap its release floor directly — the predecessor's output
@@ -463,19 +481,21 @@ class ParallelMachine:
                 if current is None or time < current:
                     inflight_floor[lp_id] = time
 
-        for proc in self.procs:
-            for lp_id, runtime in proc.runtimes.items():
+        for lp_id, runtime in self._floor_lps:
+            if runtime.queue:
                 t = runtime.queue_min_time()
                 if t != INFINITY:
                     note(lp_id, t)
+            if runtime.negatives:
                 for negative in runtime.negatives.values():
-                    # A parked negative implies its positive twin is still
-                    # under way: treat it as a pending arrival.
+                    # A parked negative implies its positive twin is
+                    # still under way: treat it as a pending arrival.
                     note(lp_id, negative.time, arriving=True)
-                for pending in runtime.lazy_pending:
-                    # A withheld cancellation may yet arrive at its
-                    # destination as an antimessage.
-                    note(pending.dst, pending.time, arriving=True)
+            for pending in runtime.lazy_pending:
+                # A withheld cancellation may yet arrive at its
+                # destination as an antimessage.
+                note(pending.dst, pending.time, arriving=True)
+        for proc in self.procs:
             for _at, _seq, event in proc.inbox:
                 note(event.dst, event.time, arriving=True)
             for event in proc.local_fifo:
@@ -485,37 +505,54 @@ class ParallelMachine:
             # eventually (retransmission guarantees it).
             note(event.dst, event.time, arriving=True)
 
-        # Dijkstra over B (earliest future output/occupancy per LP).
-        settled: Dict[int, VirtualTime] = {}
-        heap = [(time, lp_id) for lp_id, time in potentials.items()]
-        _heapq.heapify(heap)
-        succ = self.model.successors
-        lps = self.model.lps
-        while heap:
-            time, lp_id = _heapq.heappop(heap)
-            if lp_id in settled:
-                continue
-            settled[lp_id] = time
-            for nxt in succ(lp_id):
-                if nxt in settled:
-                    continue
-                la = lps[nxt].react_lookahead_phases
-                candidate = VirtualTime(time.pt, time.lt + la) if la \
-                    else time
-                if candidate < potentials.get(nxt, INFINITY):
-                    potentials[nxt] = candidate
-                    _heapq.heappush(heap, (candidate, nxt))
+        # Bucket sweep over B, one physical time at a time.
+        by_pt: Dict[int, List[Tuple[int, int]]] = {}
+        for lp_id, time in potentials.items():
+            by_pt.setdefault(time[0], []).append((time[1], lp_id))
+        succ, la_of = self._floor_succ, self._floor_la
+        settled = [False] * len(succ)
+        first: List[Optional[VirtualTime]] = [None] * len(succ)
+        for pt in sorted(by_pt):
+            buckets: Dict[int, List[int]] = {}
+            for lt, lp_id in by_pt[pt]:
+                if not settled[lp_id]:
+                    buckets.setdefault(lt, []).append(lp_id)
+            keys = list(buckets)
+            heapq.heapify(keys)
+            while keys:
+                lt = heapq.heappop(keys)
+                bucket = buckets.pop(lt)
+                b = VirtualTime(pt, lt)
+                for lp_id in bucket:  # grows while it is being settled
+                    if settled[lp_id]:
+                        continue
+                    settled[lp_id] = True
+                    for nxt in succ[lp_id]:
+                        if first[nxt] is None:
+                            first[nxt] = b
+                        if settled[nxt]:
+                            continue
+                        la = la_of[nxt]
+                        if not la:
+                            bucket.append(nxt)
+                            continue
+                        key = lt + la
+                        later = buckets.get(key)
+                        if later is None:
+                            buckets[key] = [nxt]
+                            heapq.heappush(keys, key)
+                        else:
+                            later.append(nxt)
 
-        preds = self.model.predecessors
-        for proc in self.procs:
-            for lp_id, runtime in proc.runtimes.items():
-                floor = inflight_floor.get(lp_id, INFINITY)
-                for j in preds(lp_id):
-                    b = settled.get(j, INFINITY)
-                    if b < floor:
-                        floor = b
-                if floor > runtime.release_floor:
-                    runtime.release_floor = floor
+        for lp_id, runtime in self._floor_lps:
+            floor = first[lp_id]
+            if floor is None:
+                floor = INFINITY
+            arriving = inflight_floor.get(lp_id)
+            if arriving is not None and arriving < floor:
+                floor = arriving
+            if floor > runtime.release_floor:
+                runtime.release_floor = floor
 
     def _pending_work(self) -> bool:
         """Any unprocessed event within the simulation horizon?"""
@@ -629,7 +666,10 @@ class ParallelMachine:
                     steps += 1
                     self._steps = steps
                 continue
-            if proc.act():
+            polls = proc.stats.blocked_polls
+            progressed = proc.act()
+            self._blocked_polls += proc.stats.blocked_polls - polls
+            if progressed:
                 self.fabric.poll(proc)
                 self._since_gvt += 1
                 steps += 1
@@ -637,7 +677,7 @@ class ParallelMachine:
                 due = self._since_gvt >= self.gvt_interval
                 blocked_due = (
                     self._since_gvt >= self.blocked_gvt_min_interval
-                    and self._blocked_polls() - self._blocked_at_gvt
+                    and self._blocked_polls - self._blocked_at_gvt
                     >= self.blocked_poll_trigger)
                 if due or blocked_due:
                     self._gvt_round(barrier=False)
@@ -668,6 +708,9 @@ class ParallelMachine:
         machinery so surviving receivers keep consistent queues.
         """
         self.fabric.crash(index)
+        # Recovery restores the victim's stats from its checkpoint.
+        self._blocked_polls = sum(proc.stats.blocked_polls
+                                  for proc in self.procs)
 
     def _next_processor(self) -> Optional[Processor]:
         best = None

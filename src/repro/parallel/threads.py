@@ -390,8 +390,7 @@ class ThreadedMachine:
                 proc = worker.processor
                 proc.gvt_bound = self.gvt
                 proc.stats.gvt_rounds += 1
-                for runtime in proc.runtimes.values():
-                    proc.flush_lazy(runtime, self.gvt)
+                proc.flush_lazy_all(self.gvt)
                 proc.fossil_collect(self.gvt)
                 proc.rearm_blocked()
             if self.fabric is not None and self.fabric.recovery:
